@@ -268,11 +268,14 @@ agis::Result<QueryResult> QueryEngine::ExecuteUncached(
     for (const geodb::ObjectId id : ids) {
       rows.push_back(Row{id, db_->FindObjectAt(snapshot, id)});
     }
-    // Three-way compare per key: nulls, missing objects, and
-    // incomparable kinds sort last (by kind rank, deterministically);
-    // final tiebreak is the id.
+    // Three-way compare per key, direction applied: nulls and missing
+    // objects sort last in both directions; values of different kinds
+    // that CompareValues cannot order rank by kind; same-kind values it
+    // cannot order (tuples, geometries) tie. The final tiebreak is the
+    // ascending id.
     const auto key_compare = [&](const OrderKey& k, const Row& a,
                                  const Row& b) -> int {
+      const auto directed = [&](int c) { return k.descending ? -c : c; };
       if (k.kind == OrderKey::Kind::kDistance) {
         const auto distance_of = [&](const Row& r) {
           if (r.obj == nullptr) return std::numeric_limits<double>::infinity();
@@ -286,8 +289,8 @@ agis::Result<QueryResult> QueryEngine::ExecuteUncached(
         };
         const double da = distance_of(a);
         const double db_dist = distance_of(b);
-        if (da < db_dist) return -1;
-        if (da > db_dist) return 1;
+        if (da < db_dist) return directed(-1);
+        if (da > db_dist) return directed(1);
         return 0;
       }
       const geodb::Value va =
@@ -299,18 +302,17 @@ agis::Result<QueryResult> QueryEngine::ExecuteUncached(
         return va.is_null() ? 1 : -1;  // Nulls last regardless of direction.
       }
       const auto cmp = geodb::CompareValues(va, vb);
-      if (cmp.ok()) {
-        return cmp.value();
-      }
-      // Incomparable kinds: rank by kind so the order is total.
-      return static_cast<int>(va.kind()) < static_cast<int>(vb.kind()) ? -1
-                                                                       : 1;
+      if (cmp.ok()) return directed(cmp.value());
+      // Incomparable: rank by kind so the order is total.
+      const int ka = static_cast<int>(va.kind());
+      const int kb = static_cast<int>(vb.kind());
+      if (ka == kb) return 0;
+      return directed(ka < kb ? -1 : 1);
     };
     std::sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
       for (const OrderKey& k : plan.order_by) {
-        int c = key_compare(k, a, b);
-        if (c == 0) continue;
-        return k.descending ? c > 0 : c < 0;
+        const int c = key_compare(k, a, b);
+        if (c != 0) return c < 0;
       }
       return a.id < b.id;
     });

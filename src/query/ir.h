@@ -99,9 +99,11 @@ struct BoolExpr {
   void CollectAttributes(std::vector<std::string>* out) const;
 };
 
-/// One ORDER BY key: an attribute (CompareValues order, nulls and
-/// incomparable values last) or distance to a fixed geometry (the
-/// `nearest <WKT>` form; instances without geometry sort last).
+/// One ORDER BY key: an attribute (CompareValues order, nulls last in
+/// either direction; same-kind values CompareValues cannot order, such
+/// as tuples, tie and fall to the ascending-id tiebreak) or distance to
+/// a fixed geometry (the `nearest <WKT>` form; instances without
+/// geometry sort last).
 struct OrderKey {
   enum class Kind { kAttribute, kDistance };
 

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -103,10 +104,20 @@ SessionServer::SessionServer(ServerBackend backend, ServerOptions options)
   AGIS_CHECK(backend_.scheduler != nullptr);
 }
 
-SessionServer::~SessionServer() { Stop(); }
+SessionServer::~SessionServer() {
+  Stop();
+  if (wake_fd_ >= 0) ::close(wake_fd_);
+}
 
 agis::Status SessionServer::Start() {
   if (running_.load(std::memory_order_acquire)) return agis::Status::OK();
+  if (wake_fd_ < 0) {
+    wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (wake_fd_ < 0) {
+      return agis::Status::Internal(
+          agis::StrCat("eventfd: ", std::strerror(errno)));
+    }
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                         0);
   if (listen_fd_ < 0) {
@@ -139,8 +150,13 @@ agis::Status SessionServer::Start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
 
-  last_seen_head_ =
-      backend_.changefeed != nullptr ? backend_.changefeed->head_seq() : 0;
+  if (backend_.changefeed != nullptr) {
+    // Listener first: a publish racing this read either is counted in
+    // the head read below or wakes the first pump pass.
+    feed_listener_ = backend_.changefeed->AddPublishListener(
+        [this](uint64_t) { OnFeedPublish(); });
+    last_seen_head_ = backend_.changefeed->head_seq();
+  }
   pump_group_ = std::make_unique<agis::TaskGroup>(backend_.scheduler);
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
@@ -151,9 +167,13 @@ agis::Status SessionServer::Start() {
 void SessionServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   stopping_.store(true, std::memory_order_release);
-  // The pump parks itself at its next iteration boundary (each
-  // iteration is bounded by poll_interval_ms); Wait may execute that
-  // final iteration on this thread.
+  if (feed_listener_ != 0) {
+    backend_.changefeed->RemovePublishListener(feed_listener_);
+    feed_listener_ = 0;
+  }
+  // Cut the pump's poll short; it parks itself at the end of that
+  // pass. Wait may execute that final iteration on this thread.
+  WakePump();
   pump_group_->Wait();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -184,6 +204,7 @@ void SessionServer::Stop() {
     stats_.connections_closed += doomed.size();
   }
   doomed.clear();
+  sse_sessions_.store(0, std::memory_order_release);
 }
 
 size_t SessionServer::session_count() const {
@@ -224,8 +245,9 @@ void SessionServer::PumpOnce() {
   {
     std::lock_guard lock(sessions_mutex_);
     polled.reserve(sessions_.size());
-    fds.reserve(sessions_.size() + 1);
+    fds.reserve(sessions_.size() + 2);
     fds.push_back(pollfd{listen_fd_, POLLIN, 0});
+    fds.push_back(pollfd{wake_fd_, POLLIN, 0});
     for (auto& [fd, session] : sessions_) {
       short events = POLLIN;
       {
@@ -240,10 +262,25 @@ void SessionServer::PumpOnce() {
   }
   ::poll(fds.data(), fds.size(), options_.poll_interval_ms);
 
+  // Drain, then clear, then (below) read the head. A publish after the
+  // clear sets the flag again and writes the descriptor, so the next
+  // poll returns at once; one before it is visible to the head read
+  // (the clear synchronizes with the listener's set). Clearing before
+  // draining could swallow that write and leave the flag set with
+  // nothing to wake the pump.
+  if ((fds[1].revents & POLLIN) != 0) {
+    uint64_t count = 0;  // Reading an eventfd resets its counter to 0.
+    [[maybe_unused]] const ssize_t n = ::read(wake_fd_, &count, sizeof(count));
+  }
+  if (feed_wake_pending_.exchange(false, std::memory_order_acq_rel)) {
+    std::lock_guard lock(stats_mutex_);
+    ++stats_.pump_feed_wakeups;
+  }
+
   if ((fds[0].revents & POLLIN) != 0) AcceptPending();
   for (size_t i = 0; i < polled.size(); ++i) {
     Session* session = polled[i].get();
-    const short revents = fds[i + 1].revents;
+    const short revents = fds[i + 2].revents;
     if (session->closed.load(std::memory_order_acquire)) continue;
     if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
       ReadFromSession(session);
@@ -297,17 +334,20 @@ void SessionServer::AcceptPending() {
     if (open_sessions >= options_.max_sessions ||
         stopping_.load(std::memory_order_acquire)) {
       // Admission control: refuse before allocating any session
-      // state. The socket buffer of a fresh connection comfortably
-      // holds this response, so the non-blocking send is best-effort
-      // but reliable in practice.
+      // state. Counted before the send: a client that has read the
+      // 503 must find the rejection in stats(). The socket buffer of a
+      // fresh connection comfortably holds this response, so the
+      // non-blocking send is best-effort but reliable in practice.
+      {
+        std::lock_guard lock(stats_mutex_);
+        ++stats_.connections_rejected;
+      }
       HttpResponse response;
       response.status = 503;
       response.body = "session limit reached\n";
       const std::string bytes = response.Serialize();
       ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
       ::close(fd);
-      std::lock_guard lock(stats_mutex_);
-      ++stats_.connections_rejected;
       continue;
     }
 
@@ -412,23 +452,24 @@ void SessionServer::RejectAndClose(Session* session,
   session->closed.store(true, std::memory_order_release);
 }
 
-void SessionServer::FlushSession(Session* session) {
+bool SessionServer::FlushSession(Session* session) {
   std::lock_guard lock(session->out_mutex);
-  while (!session->outbuf.empty()) {
-    const size_t chunk = std::min(session->outbuf.size(), kWriteChunk);
-    const ssize_t n =
-        ::send(session->fd, session->outbuf.data(), chunk, MSG_NOSIGNAL);
-    if (n > 0) {
-      session->outbuf.erase(0, static_cast<size_t>(n));
-      std::lock_guard stats_lock(stats_mutex_);
-      stats_.bytes_sent += static_cast<uint64_t>(n);
-      continue;
+  for (;;) {
+    while (!session->outbuf.empty()) {
+      const size_t chunk = std::min(session->outbuf.size(), kWriteChunk);
+      const ssize_t n =
+          ::send(session->fd, session->outbuf.data(), chunk, MSG_NOSIGNAL);
+      if (n > 0) {
+        session->outbuf.erase(0, static_cast<size_t>(n));
+        std::lock_guard stats_lock(stats_mutex_);
+        stats_.bytes_sent += static_cast<uint64_t>(n);
+        continue;
+      }
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+      session->closed.store(true, std::memory_order_release);
+      return false;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    session->closed.store(true, std::memory_order_release);
-    return;
-  }
-  if (session->dropped_frames) {
+    if (!session->dropped_frames) return false;
     // The consumer drained its backlog after we dropped frames on the
     // floor: tell it once to re-fetch window state (drop-to-resync —
     // the server-side windows are current, only notifications were
@@ -439,6 +480,20 @@ void SessionServer::FlushSession(Session* session) {
     session->dropped_frames = false;
     std::lock_guard stats_lock(stats_mutex_);
     ++stats_.resyncs_sent;
+  }
+}
+
+void SessionServer::WakePump() {
+  // The only failure, EAGAIN on a saturated counter, leaves a wake
+  // pending, which is all a signal has to guarantee.
+  const uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+}
+
+void SessionServer::OnFeedPublish() {
+  if (sse_sessions_.load(std::memory_order_acquire) == 0) return;
+  if (!feed_wake_pending_.exchange(true, std::memory_order_acq_rel)) {
+    WakePump();
   }
 }
 
@@ -455,6 +510,9 @@ void SessionServer::ReapClosedSessions() {
       }
       if (session->closed.load(std::memory_order_acquire) && strand_idle &&
           session->group.pending() == 0) {
+        if (session->sse.load(std::memory_order_acquire)) {
+          sse_sessions_.fetch_sub(1, std::memory_order_acq_rel);
+        }
         reaped.push_back(std::move(it->second));
         it = sessions_.erase(it);
       } else {
@@ -522,10 +580,12 @@ void SessionServer::RunSessionWork(std::shared_ptr<Session> session) {
     } else if (do_refresh) {
       RefreshSession(session.get());
     }
-    // Opportunistic flush so a push reaches the wire now rather than
-    // at the pump's next POLLOUT pass.
-    if (!session->closed.load(std::memory_order_acquire)) {
-      FlushSession(session.get());
+    // Opportunistic flush so a push reaches the wire now. Bytes the
+    // socket would not take wait for POLLOUT, which the pump's current
+    // poll may not be watching for: wake it to re-poll.
+    if (!session->closed.load(std::memory_order_acquire) &&
+        FlushSession(session.get())) {
+      WakePump();
     }
   }
 }
@@ -564,7 +624,8 @@ HttpResponse SessionServer::HandleRequest(Session* session,
         "\nqueries ", s.queries_served, "\nevents_pushed ",
         s.events_pushed, "\nresyncs_sent ", s.resyncs_sent,
         "\nframes_dropped ", s.frames_dropped, "\nbytes_sent ", s.bytes_sent,
-        "\nbytes_received ", s.bytes_received, "\nsession_bytes_received ",
+        "\nbytes_received ", s.bytes_received, "\npump_feed_wakeups ",
+        s.pump_feed_wakeups, "\nsession_bytes_received ",
         session->bytes_received.load(std::memory_order_relaxed),
         "\nsession_requests_received ",
         session->requests_received.load(std::memory_order_relaxed), "\n");
@@ -792,7 +853,9 @@ HttpResponse SessionServer::HandleRequest(Session* session,
                      backend_.changefeed != nullptr
                          ? backend_.changefeed->head_seq()
                          : 0));
-    session->sse.store(true, std::memory_order_release);
+    if (!session->sse.exchange(true, std::memory_order_acq_rel)) {
+      sse_sessions_.fetch_add(1, std::memory_order_acq_rel);
+    }
     return response;
   }
 

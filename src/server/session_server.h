@@ -66,9 +66,12 @@ struct ServerOptions {
   /// is answered 503 and closed — one stuck session's backlog must
   /// not monopolize strand time or queue memory.
   size_t max_pipelined_requests = 32;
-  /// IO pump cadence: how long one pump pass blocks in poll(2) when
-  /// no socket is ready. Bounds the latency of a write-committed →
-  /// SSE-frame push when the feed is otherwise quiet.
+  /// Idle housekeeping bound: the longest one pump pass blocks in
+  /// poll(2) when nothing happens. Pushes do not wait for it — a
+  /// changefeed publish, a strand leaving unsent bytes and Stop() all
+  /// wake the pump at once — so it only paces what no event announces:
+  /// reaping a closed session whose strand was still busy at the last
+  /// pass.
   int poll_interval_ms = 2;
   int accept_backlog = 128;
   /// SO_SNDBUF for accepted sockets; 0 keeps the kernel default.
@@ -104,6 +107,9 @@ struct ServerStats {
   uint64_t frames_dropped = 0;
   uint64_t bytes_sent = 0;
   uint64_t pump_iterations = 0;
+  /// Pump passes started by a changefeed publish (the feed listener's
+  /// wake), as opposed to socket readiness, a strand or the timeout.
+  uint64_t pump_feed_wakeups = 0;
   size_t sessions_open = 0;
   RateLimiterStats rate_limiter;
 };
@@ -116,17 +122,21 @@ struct ServerStats {
 /// boundary — exactly what the in-process dispatcher speaks), and a
 /// ui::ViewRefresher subscribed to the shared storage::Changefeed.
 /// View refreshes are *pushed*: a committed write flows WAL-order
-/// through the changefeed, the pump notices the head moved, each
-/// affected session patches its windows incrementally (IVM) and emits
-/// a Server-Sent-Events frame. Clients never poll.
+/// through the changefeed, whose publish listener wakes the pump; the
+/// pump sees the head moved, each affected session patches its windows
+/// incrementally (IVM) and emits a Server-Sent-Events frame. Clients
+/// never poll.
 ///
 /// Threading: everything runs on the shared TaskScheduler. A single
 /// self-re-arming pump task owns all socket IO (accept, read, write,
-/// reap) — one bounded iteration per submission, so a TaskGroup::Wait
-/// helper that picks it up is never trapped. Request handling and
-/// refresh work run as per-session tasks in the session's TaskGroup,
-/// serialized per session by a strand flag (a session's dispatcher is
-/// single-user state; two sessions' tasks run concurrently).
+/// reap) — one iteration per submission, bounded by the next event or
+/// poll_interval_ms, so a TaskGroup::Wait helper that picks it up is
+/// never trapped for long. The pump's poll set holds every socket plus
+/// one wake eventfd that the changefeed listener, strands and Stop()
+/// signal. Request handling and refresh work run as per-session tasks
+/// in the session's TaskGroup, serialized per session by a strand flag
+/// (a session's dispatcher is single-user state; two sessions' tasks
+/// run concurrently).
 ///
 /// Lifecycle per connection:
 ///   POST /context?user=U&application=A   — set the user context
@@ -171,8 +181,18 @@ class SessionServer {
   /// marks the session closed (413 / pipelining 503 — protocol-level
   /// rejections that end the connection).
   void RejectAndClose(Session* session, const HttpResponse& response);
-  void FlushSession(Session* session);
+  /// Sends what the session's outbound buffer holds (plus a pending
+  /// resync frame). Returns true when bytes are left for POLLOUT.
+  bool FlushSession(Session* session);
   void ReapClosedSessions();
+
+  // ---- Wake descriptor ---------------------------------------------------
+  /// Makes the pump's current or next poll return at once.
+  void WakePump();
+  /// Changefeed publish listener: one descriptor write per pump pass
+  /// however many records are published meanwhile, and none while no
+  /// session streams (a write then has no one to push to).
+  void OnFeedPublish();
 
   // ---- Session work (runs inside the session's TaskGroup) ---------------
   /// Strand entry: drains queued requests and any pending refresh for
@@ -206,6 +226,21 @@ class SessionServer {
   /// Changefeed head at the last pump pass; refresh work is scheduled
   /// only when it moves.
   uint64_t last_seen_head_ = 0;
+
+  /// The pump's wake eventfd. Created by the first Start, closed by
+  /// the destructor (strands may still signal it while Stop drains
+  /// them).
+  int wake_fd_ = -1;
+  /// Set by the feed listener before it writes the descriptor; the
+  /// pump clears it after draining the descriptor and before reading
+  /// the head, so a publish is either seen by this pass or wakes the
+  /// next one.
+  std::atomic<bool> feed_wake_pending_{false};
+  storage::Changefeed::ListenerId feed_listener_ = 0;
+  /// Sessions switched to SSE and not yet reaped. Without the gate a
+  /// bulk load into a server with no subscriber paid a pump pass per
+  /// write.
+  std::atomic<size_t> sse_sessions_{0};
 
   RateLimiter rate_limiter_;
 

@@ -66,18 +66,36 @@ void Changefeed::OnAfterEvent(const geodb::DbEvent& event) {
 }
 
 uint64_t Changefeed::Publish(ChangeRecord record) {
-  std::lock_guard lock(mutex_);
-  record.seq = next_seq_++;
-  const uint64_t seq = record.seq;
-  ring_.push_back(std::move(record));
-  // Bounded ring: the writer never waits. A subscriber still cursored
-  // before the popped record finds out at its next Poll (resync).
-  if (ring_.size() > capacity_) {
-    ring_.pop_front();
-    ++stats_.dropped;
+  uint64_t seq = 0;
+  {
+    std::lock_guard lock(mutex_);
+    record.seq = next_seq_++;
+    seq = record.seq;
+    ring_.push_back(std::move(record));
+    // Bounded ring: the writer never waits. A subscriber still cursored
+    // before the popped record finds out at its next Poll (resync).
+    if (ring_.size() > capacity_) {
+      ring_.pop_front();
+      ++stats_.dropped;
+    }
+    ++stats_.published;
   }
-  ++stats_.published;
+  std::lock_guard lock(listeners_mutex_);
+  for (const auto& [id, listener] : listeners_) listener(seq);
   return seq;
+}
+
+Changefeed::ListenerId Changefeed::AddPublishListener(
+    PublishListener listener) {
+  std::lock_guard lock(listeners_mutex_);
+  const ListenerId id = next_listener_++;
+  listeners_.emplace(id, std::move(listener));
+  return id;
+}
+
+bool Changefeed::RemovePublishListener(ListenerId id) {
+  std::lock_guard lock(listeners_mutex_);
+  return listeners_.erase(id) != 0;
 }
 
 Changefeed::SubscriberId Changefeed::Subscribe() {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -87,6 +88,11 @@ struct ChangefeedPoll {
 /// cursors, with SubscribeFrom for replay of whatever the ring still
 /// holds.
 ///
+/// Consumers that must react to a publish at once (the session
+/// server's IO pump, which would otherwise only look at the head on a
+/// timer) register a publish listener: it is called once per published
+/// record, in the publishing thread, after the feed mutex is released.
+///
 /// Thread safety: all operations are safe to call concurrently (one
 /// internal mutex; every operation is O(ring section touched), so the
 /// critical sections are short). The feed observes events *after* the
@@ -94,6 +100,9 @@ struct ChangefeedPoll {
 class Changefeed : public geodb::DbEventSink {
  public:
   using SubscriberId = uint64_t;
+  using ListenerId = uint64_t;
+  /// Called with the seq just published.
+  using PublishListener = std::function<void(uint64_t seq)>;
 
   /// `capacity` is the ring bound (clamped to at least 1): how far the
   /// slowest subscriber may lag before it is dropped to resync.
@@ -109,8 +118,20 @@ class Changefeed : public geodb::DbEventSink {
   void OnAfterEvent(const geodb::DbEvent& event) override;
 
   /// Direct publication (tests; also any producer that is not a
-  /// GeoDatabase). `record.seq` is assigned by the feed.
+  /// GeoDatabase). `record.seq` is assigned by the feed. Publish
+  /// listeners run after the record is visible to Poll / head_seq.
   uint64_t Publish(ChangeRecord record);
+
+  // ---- Publish listeners -------------------------------------------------
+
+  /// Registers `listener`. Listeners run in the publishing (writer's)
+  /// thread, so they must be short and must not block; they may call
+  /// any feed operation except (Add|Remove)PublishListener.
+  ListenerId AddPublishListener(PublishListener listener);
+
+  /// Unregisters; once this returns, the listener is not running and
+  /// is never called again. Returns false when unknown.
+  bool RemovePublishListener(ListenerId id);
 
   // ---- Consumer side -----------------------------------------------------
 
@@ -160,6 +181,13 @@ class Changefeed : public geodb::DbEventSink {
   SubscriberId next_subscriber_ = 1;
   std::map<SubscriberId, Subscriber> subscribers_;
   ChangefeedStats stats_;
+
+  /// Separate from `mutex_` so listeners run outside the feed's
+  /// critical section; Publish holds it while calling them, which is
+  /// what makes RemovePublishListener's "never again" hold.
+  std::mutex listeners_mutex_;
+  ListenerId next_listener_ = 1;
+  std::map<ListenerId, PublishListener> listeners_;
 };
 
 }  // namespace agis::storage

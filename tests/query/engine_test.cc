@@ -1,6 +1,9 @@
 #include "query/engine.h"
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -128,6 +131,70 @@ TEST(QueryEngine, OrderingAndPagingAreDeterministic) {
   for (size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(page.value().ids[i], all.value().ids[10 + i]);
   }
+}
+
+TEST(QueryEngine, NullsSortLastInBothDirections) {
+  auto db = MakeDb(1);
+  QueryEngine engine(db.get());
+  auto all = engine.ExecuteText("select Pole");
+  ASSERT_TRUE(all.ok());
+  const std::vector<geodb::ObjectId> poles = all.value().ids;
+  ASSERT_GT(poles.size(), 60u);
+  // About 3% of the poles lose their install year.
+  std::map<geodb::ObjectId, std::optional<int64_t>> year;
+  const geodb::Snapshot before = db->OpenSnapshot();
+  for (size_t i = 0; i < poles.size(); ++i) {
+    if (i % 33 == 7) {
+      ASSERT_TRUE(db->Update(poles[i], "install_year", Value()).ok());
+      year[poles[i]] = std::nullopt;
+    } else {
+      year[poles[i]] =
+          db->FindObjectAt(before, poles[i])->Get("install_year").int_value();
+    }
+  }
+
+  for (const bool descending : {false, true}) {
+    SCOPED_TRACE(descending ? "desc" : "asc");
+    // Brute force: years in the requested direction, nulls last, ties
+    // by ascending id.
+    std::vector<geodb::ObjectId> expected = poles;
+    std::sort(expected.begin(), expected.end(),
+              [&](geodb::ObjectId a, geodb::ObjectId b) {
+                const auto& ya = year[a];
+                const auto& yb = year[b];
+                if (ya.has_value() != yb.has_value()) return ya.has_value();
+                if (ya.has_value() && *ya != *yb) {
+                  return descending ? *ya > *yb : *ya < *yb;
+                }
+                return a < b;
+              });
+    const std::string order =
+        descending ? " order by install_year desc" : " order by install_year";
+    auto full = engine.ExecuteText("select Pole" + order);
+    ASSERT_TRUE(full.ok()) << full.status();
+    EXPECT_EQ(full.value().ids, expected);
+    auto top = engine.ExecuteText("select Pole" + order + " limit 10");
+    ASSERT_TRUE(top.ok()) << top.status();
+    EXPECT_EQ(top.value().ids,
+              std::vector<geodb::ObjectId>(expected.begin(),
+                                           expected.begin() + 10));
+  }
+}
+
+TEST(QueryEngine, UnorderableKeysFallBackToAscendingIds) {
+  auto db = MakeDb(1);
+  QueryEngine engine(db.get());
+  auto all = engine.ExecuteText("select Pole");
+  ASSERT_TRUE(all.ok());
+  ASSERT_GE(all.value().ids.size(), 5u);
+  // Tuples do not order under CompareValues: every pair ties, and the
+  // id decides.
+  auto ordered =
+      engine.ExecuteText("select Pole order by pole_composition limit 5");
+  ASSERT_TRUE(ordered.ok()) << ordered.status();
+  EXPECT_EQ(ordered.value().ids,
+            std::vector<geodb::ObjectId>(all.value().ids.begin(),
+                                         all.value().ids.begin() + 5));
 }
 
 TEST(QueryEngine, StampValidationKeepsCacheFreshAcrossWrites) {

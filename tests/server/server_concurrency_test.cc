@@ -1,7 +1,8 @@
 // Concurrency exercises for the session server, built to run under
 // ThreadSanitizer (registered via agis_add_concurrency_test): session
 // churn against a live writer, slow-consumer drop-to-resync
-// backpressure, and the rate limiter under parallel fire.
+// backpressure, concurrent writers waking the pump, and the rate
+// limiter under parallel fire.
 //
 // gtest assertions are not thread-safe, so worker threads record
 // failures into their own strings and the main thread asserts after
@@ -10,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -222,6 +225,65 @@ TEST(ServerConcurrency, SlowSseConsumerDropsToResync) {
 
   // The session survived the pressure: it still serves state.
   EXPECT_EQ(sys->server()->session_count(), 1u);
+}
+
+TEST(ServerConcurrency, ConcurrentCommitsNeverLoseAPumpWakeup) {
+  // The pump's timeout is far above the deadline below: every frame
+  // has to come from a wake, so a lost one fails the test.
+  ServerOptions options;
+  options.poll_interval_ms = 10000;
+  auto sys = StartSystem(options);
+  const int port = sys->server()->port();
+
+  constexpr int kSubscribers = 3;
+  std::vector<Client> subscribers(kSubscribers);
+  for (Client& client : subscribers) {
+    ASSERT_TRUE(client.Connect(port).ok());
+    auto open = client.Request("POST", "/open?class=Pole");
+    ASSERT_TRUE(open.ok());
+    ASSERT_EQ(open.value().status, 200);
+    ASSERT_TRUE(client.StartEvents().ok());
+  }
+
+  constexpr int kWriters = 4;
+  constexpr int kCommitsPerWriter = 200;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  writers.reserve(kWriters);
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&sys, &failures, w] {
+      for (int i = 0; i < kCommitsPerWriter; ++i) {
+        const double at = 100.0 + w * 1000.0 + i;
+        if (!sys->db()
+                 .Insert("Pole", {{"pole_location", PointValue(at, at)}})
+                 .ok()) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  ASSERT_EQ(failures.load(), 0);
+  const uint64_t final_seq = sys->changefeed()->head_seq();
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (int s = 0; s < kSubscribers; ++s) {
+    uint64_t seen = 0;
+    while (seen < final_seq && std::chrono::steady_clock::now() < deadline) {
+      auto event = subscribers[static_cast<size_t>(s)].NextEvent(500);
+      if (!event.ok()) continue;
+      ASSERT_NE(event.value().event, "resync") << "subscriber " << s;
+      if (event.value().event != "refresh") continue;
+      const std::string& data = event.value().data;
+      const size_t at = data.find(" seq=");
+      ASSERT_NE(at, std::string::npos) << data;
+      seen = std::max<uint64_t>(
+          seen, std::strtoull(data.c_str() + at + 5, nullptr, 10));
+    }
+    EXPECT_GE(seen, final_seq) << "subscriber " << s;
+  }
+  EXPECT_GT(sys->server_stats().pump_feed_wakeups, 0u);
 }
 
 TEST(ServerConcurrency, RateLimiterHoldsUnderParallelFire) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -51,6 +53,26 @@ class SessionServerTest : public ::testing::Test {
   std::unique_ptr<core::ActiveInterfaceSystem> sys_;
   int port_ = 0;
 };
+
+/// Pump timeout far above every latency bound the wake-path tests
+/// assert: anything that still waited for the timer would fail them.
+constexpr int kIdlePollMs = 10000;
+constexpr int64_t kWakeBoundMs = 500;
+
+int64_t MillisSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Feed seq a `refresh` frame reports ("window=... seq=N features=M"),
+/// 0 for any other frame.
+uint64_t RefreshSeq(const Client::SseEvent& event) {
+  if (event.event != "refresh") return 0;
+  const size_t at = event.data.find(" seq=");
+  if (at == std::string::npos) return 0;
+  return std::strtoull(event.data.c_str() + at + 5, nullptr, 10);
+}
 
 TEST_F(SessionServerTest, ServesHealthAndRejectsUnknownPaths) {
   StartSystem();
@@ -159,6 +181,101 @@ TEST_F(SessionServerTest, CommittedWritePushesSseRefreshFrame) {
   const ServerStats stats = sys_->server_stats();
   EXPECT_GE(stats.events_pushed, 1u);
   EXPECT_EQ(stats.frames_dropped, 0u);
+}
+
+TEST_F(SessionServerTest, CommitWakesThePumpWithoutWaitingForThePollTimer) {
+  ServerOptions options;
+  options.poll_interval_ms = kIdlePollMs;
+  StartSystem(options);
+  // Loading the network published hundreds of records with no session
+  // streaming: nothing to push, so no wake.
+  EXPECT_EQ(sys_->server_stats().pump_feed_wakeups, 0u);
+  Client client;
+  ASSERT_TRUE(client.Connect(port_).ok());
+  ASSERT_TRUE(client.Request("POST", "/open?class=Pole").ok());
+  ASSERT_TRUE(client.StartEvents().ok());
+  // Let the pump settle into an idle poll.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const uint64_t wakeups_before = sys_->server_stats().pump_feed_wakeups;
+
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(InsertPole().ok());
+  const uint64_t seq = sys_->changefeed()->head_seq();
+  auto event = client.NextEvent(/*timeout_ms=*/5000);
+  ASSERT_TRUE(event.ok()) << event.status().ToString();
+  EXPECT_LT(MillisSince(start), kWakeBoundMs);
+  EXPECT_GE(RefreshSeq(event.value()), seq);
+  EXPECT_GT(sys_->server_stats().pump_feed_wakeups, wakeups_before);
+
+  Client stats;
+  ASSERT_TRUE(stats.Connect(port_).ok());
+  auto body = stats.Request("GET", "/stats");
+  ASSERT_TRUE(body.ok());
+  EXPECT_NE(body.value().body.find("pump_feed_wakeups "), std::string::npos);
+}
+
+TEST_F(SessionServerTest, StrandLeftoverBytesAreFlushedWithoutThePollTimer) {
+  ServerOptions options;
+  options.poll_interval_ms = kIdlePollMs;
+  options.so_sndbuf = 4096;  // Kernel buffers fill within a few hundred frames.
+  StartSystem(options);
+  Client client;
+  ASSERT_TRUE(client.Connect(port_, /*timeout_ms=*/5000, /*rcvbuf=*/4096).ok());
+  ASSERT_TRUE(client.Request("POST", "/open?class=Pole").ok());
+  ASSERT_TRUE(client.StartEvents().ok());
+
+  // The client stops reading. One frame per write, until a pushed frame
+  // no longer reaches the socket: a strand's flush hit EAGAIN and left
+  // the bytes in the session's outbound buffer.
+  const auto pushed = [&] { return sys_->server_stats().events_pushed; };
+  const auto sent = [&] { return sys_->server_stats().bytes_sent; };
+  bool backed_up = false;
+  int writes = 0;
+  for (; writes < 5000 && !backed_up; ++writes) {
+    const uint64_t pushed_before = pushed();
+    const uint64_t sent_before = sent();
+    ASSERT_TRUE(InsertPole().ok());
+    ASSERT_TRUE(WaitFor([&] { return pushed() > pushed_before; }));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (sent() == sent_before) {
+      // Confirm no byte of the frame goes out while the client is idle.
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      backed_up = sent() == sent_before;
+    }
+  }
+  ASSERT_TRUE(backed_up) << "socket never backed up after " << writes
+                         << " writes";
+  ASSERT_GT(writes, 1);
+  EXPECT_EQ(sys_->server_stats().frames_dropped, 0u);
+  const uint64_t last_seq = sys_->changefeed()->head_seq();
+
+  // Reading frees the socket; the pump, told by the strand to watch
+  // for POLLOUT, sends the rest at once.
+  const auto start = std::chrono::steady_clock::now();
+  uint64_t seen = 0;
+  while (seen < last_seq && MillisSince(start) < 5000) {
+    auto event = client.NextEvent(/*timeout_ms=*/1000);
+    ASSERT_TRUE(event.ok()) << event.status().ToString();
+    ASSERT_NE(event.value().event, "resync");
+    seen = std::max(seen, RefreshSeq(event.value()));
+  }
+  EXPECT_GE(seen, last_seq);
+  EXPECT_LT(MillisSince(start), kWakeBoundMs);
+}
+
+TEST_F(SessionServerTest, StopDoesNotWaitOutThePollTimer) {
+  ServerOptions options;
+  options.poll_interval_ms = kIdlePollMs;
+  StartSystem(options);
+  Client client;
+  ASSERT_TRUE(client.Connect(port_).ok());
+  ASSERT_TRUE(client.Request("GET", "/healthz").ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // Idle poll.
+
+  const auto start = std::chrono::steady_clock::now();
+  sys_->StopServer();
+  EXPECT_LT(MillisSince(start), kWakeBoundMs);
+  EXPECT_FALSE(sys_->server()->running());
 }
 
 TEST_F(SessionServerTest, SessionsAreIsolated) {

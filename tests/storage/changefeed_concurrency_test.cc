@@ -104,5 +104,46 @@ TEST(ChangefeedConcurrency, NonPollingSubscriberNeverBlocksWriters) {
   EXPECT_EQ(feed.Lag(idle), 0u);
 }
 
+// A listener removed while writers publish is never called after
+// RemovePublishListener returns, and while registered it sees every
+// publish exactly once.
+TEST(ChangefeedConcurrency, RemovedListenerIsNeverCalledAgain) {
+  constexpr int kWriters = 3;
+  constexpr int kPerWriter = 2000;
+  Changefeed feed(256);
+  std::atomic<bool> removed{false};
+  std::atomic<uint64_t> late_calls{0};
+  std::atomic<uint64_t> removed_calls{0};
+  std::atomic<uint64_t> kept_calls{0};
+  const Changefeed::ListenerId doomed = feed.AddPublishListener([&](uint64_t) {
+    removed_calls.fetch_add(1, std::memory_order_relaxed);
+    if (removed.load(std::memory_order_acquire)) {
+      late_calls.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  feed.AddPublishListener([&](uint64_t) {
+    kept_calls.fetch_add(1, std::memory_order_relaxed);
+  });
+
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&feed, w] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        feed.Publish(Record(static_cast<geodb::ObjectId>(w * kPerWriter + i)));
+      }
+    });
+  }
+  while (removed_calls.load(std::memory_order_relaxed) < kPerWriter) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(feed.RemovePublishListener(doomed));
+  removed.store(true, std::memory_order_release);
+  for (std::thread& t : writers) t.join();
+
+  EXPECT_EQ(late_calls.load(), 0u);
+  EXPECT_EQ(kept_calls.load(), static_cast<uint64_t>(kWriters * kPerWriter));
+  EXPECT_EQ(feed.head_seq(), static_cast<uint64_t>(kWriters * kPerWriter));
+}
+
 }  // namespace
 }  // namespace agis::storage

@@ -1,7 +1,10 @@
 #include "storage/changefeed.h"
 
 #include <algorithm>
+#include <chrono>
+#include <future>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -196,6 +199,50 @@ TEST(Changefeed, AckBeyondHeadIsAnErrorAndClampsToHead) {
   // In-range acks keep working after the rejected one.
   ASSERT_TRUE(feed.Ack(sub, poll.next_seq).ok());
   EXPECT_EQ(feed.Lag(sub), 0u);
+}
+
+TEST(Changefeed, PublishListenersFireOncePerPublishOutsideTheMutex) {
+  Changefeed feed(8);
+  std::vector<uint64_t> seen;
+  std::vector<uint64_t> heads_seen;
+  // A listener run under the feed mutex would leave these head reads
+  // blocked; they are kept here so a timed-out one is not joined
+  // inside the listener.
+  std::vector<std::future<uint64_t>> blocked;
+  const Changefeed::ListenerId first =
+      feed.AddPublishListener([&](uint64_t seq) {
+        seen.push_back(seq);
+        auto head = std::async(std::launch::async,
+                               [&feed] { return feed.head_seq(); });
+        if (head.wait_for(std::chrono::seconds(5)) ==
+            std::future_status::ready) {
+          heads_seen.push_back(head.get());
+        } else {
+          blocked.push_back(std::move(head));
+        }
+      });
+  int second_calls = 0;
+  const Changefeed::ListenerId second =
+      feed.AddPublishListener([&](uint64_t) { ++second_calls; });
+  EXPECT_NE(first, second);
+
+  EXPECT_EQ(feed.Publish(Record(ChangeKind::kInsert, "Pole", 1)), 1u);
+  EXPECT_EQ(feed.Publish(Record(ChangeKind::kUpdate, "Pole", 1)), 2u);
+  EXPECT_EQ(seen, (std::vector<uint64_t>{1, 2}));
+  // The record is visible to other threads by the time listeners run.
+  EXPECT_EQ(heads_seen, (std::vector<uint64_t>{1, 2}));
+  EXPECT_TRUE(blocked.empty());
+  EXPECT_EQ(second_calls, 2);
+
+  EXPECT_TRUE(feed.RemovePublishListener(second));
+  EXPECT_FALSE(feed.RemovePublishListener(second));
+  feed.Publish(Record(ChangeKind::kDelete, "Pole", 1));
+  EXPECT_EQ(seen, (std::vector<uint64_t>{1, 2, 3}));
+  EXPECT_EQ(second_calls, 2);
+
+  EXPECT_TRUE(feed.RemovePublishListener(first));
+  feed.Publish(Record(ChangeKind::kInsert, "Pole", 2));
+  EXPECT_EQ(seen.size(), 3u);
 }
 
 TEST(Changefeed, ToStringNamesTheDelta) {
